@@ -1,7 +1,6 @@
-// Ablation benches for the design choices DESIGN.md calls out and the
-// paper's §VII future-work items: the I-bus arbitration policy (the
-// shared bus's "fetch policy") and a branch predictor shared among the
-// SPMD worker cores. Run with:
+// Ablation benches for the paper's §VII future-work items: the I-bus
+// arbitration policy (the shared bus's "fetch policy") and a branch
+// predictor shared among the SPMD worker cores. Run with:
 //
 //	go test -bench=Ablation -benchtime=1x
 package sharedicache

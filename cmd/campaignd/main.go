@@ -12,7 +12,6 @@
 // Workers, on any machine that can reach it (no shared filesystem):
 //
 //	sweep -remote http://coordinator:8417 -worker
-//	campaignd -join http://coordinator:8417
 //
 // Workers fetch the campaign options from the coordinator, so store
 // keys agree by construction; a worker that dies mid-batch simply
@@ -46,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"sharedicache/internal/campaignd"
@@ -67,72 +67,46 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8417", "listen address for the store and dispatch planes")
 		storeDir  = flag.String("store", "", "run-store directory backing the store plane (required)")
-		join      = flag.String("join", "", "run as a worker against the coordinator at this URL instead of serving")
 		serve     = flag.Bool("serve", false, "persistent service mode: start with no plan and accept campaigns over POST /v1/campaign until interrupted (design-space flags are ignored)")
 		ttl       = flag.Duration("ttl", campaignd.DefaultTTL, "lease TTL; a worker missing heartbeats this long forfeits its batch")
 		batch     = flag.Int("lease-batch", 0, "max design points per lease; 0 derives the batch from the observed mean point latency")
 		grace     = flag.Duration("grace", 2*time.Second, "keep serving this long after completion so polling workers see the campaign finish")
-		par       = flag.Int("par", 0, "worker mode: max concurrent simulations (0 = GOMAXPROCS)")
-		id        = flag.String("id", "", "worker mode: worker name in leases (default host-pid)")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON span timeline to this file at exit (coordinator mode also serves it at GET /v1/trace)")
-		reportOut = flag.String("report", "", "write per-point simulation telemetry as JSON to this file at exit (coordinator mode collects the workers' reports and serves GET /v1/simstatsz)")
-		pprofOn   = flag.Bool("pprof", false, "coordinator mode: also serve net/http/pprof under /debug/pprof/ on -addr")
+		traceOut  = flag.String("trace", "", "write the merged Chrome trace-event JSON span timeline to this file at exit (also served at GET /v1/trace)")
+		reportOut = flag.String("report", "", "collect the workers' per-point simulation telemetry, serve it at GET /v1/simstatsz and write it as JSON to this file at exit")
+		pprofOn   = flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on -addr")
 	)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM (the container stop signal) drains like Ctrl-C.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// -trace: record a span timeline and export it as Chrome
-	// trace-event JSON at exit; in coordinator mode the same buffer —
-	// merged with the workers' pushed spans — also serves GET /v1/trace.
+	// -trace: record a span timeline — the coordinator's own spans
+	// merged with the workers' pushed ones — served at GET /v1/trace
+	// and exported as Chrome trace-event JSON at exit.
 	var tracer *tracing.Tracer
-	writeTrace := func(proc string) {
+	writeTrace := func() {
 		n, err := tracing.WriteFile(*traceOut, tracer)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "campaignd: trace:", err)
 			return
 		}
-		fmt.Fprintf(os.Stderr, "campaignd: trace: %d spans written to %s (%s)\n", n, *traceOut, proc)
+		fmt.Fprintf(os.Stderr, "campaignd: trace: %d spans written to %s (coordinator)\n", n, *traceOut)
 	}
 
-	// -report: collect per-point simulation telemetry and write it as
-	// JSON at exit. In worker mode the collector stays local (an
-	// explicit collector is never pushed to the coordinator); in
-	// coordinator mode it aggregates the workers' pushed reports and
-	// backs GET /v1/simstatsz.
+	// -report: aggregate the workers' pushed per-point simulation
+	// telemetry behind GET /v1/simstatsz and write it as JSON at exit.
 	var reporter *simreport.Collector
 	if *reportOut != "" {
 		reporter = simreport.NewCollector()
 	}
-	writeReport := func(proc string) {
+	writeReport := func() {
 		n, err := simreport.WriteFile(*reportOut, reporter)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "campaignd: report:", err)
 			return
 		}
-		fmt.Fprintf(os.Stderr, "campaignd: report: %d reports written to %s (%s)\n", n, *reportOut, proc)
-	}
-
-	// -join: thin worker mode, identical to `sweep -remote URL -worker`.
-	if *join != "" {
-		if *traceOut != "" {
-			tracer = tracing.New(tracing.Config{Process: "worker"})
-		}
-		w := campaignd.Worker{URL: *join, ID: *id, Parallelism: *par, Log: os.Stderr, Tracer: tracer, Reports: reporter}
-		rep, err := w.Run(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "campaignd: worker done: %d points over %d leases (%d lost, %d forfeited), %d simulated, %d store hits\n",
-			rep.Points, rep.Leases, rep.LostLeases, rep.Forfeited, rep.Simulations, rep.Store.Hits)
-		if *traceOut != "" {
-			writeTrace("worker")
-		}
-		if *reportOut != "" {
-			writeReport("worker")
-		}
-		return
+		fmt.Fprintf(os.Stderr, "campaignd: report: %d reports written to %s (coordinator)\n", n, *reportOut)
 	}
 
 	if *storeDir == "" {
@@ -239,7 +213,9 @@ func main() {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	httpSrv := &http.Server{Handler: handler}
+	// The header timeout stops a slow or stalled client from holding a
+	// connection open indefinitely before its request is even read.
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	go httpSrv.Serve(ln)
 
 	// -serve: persistent service. Campaigns are enqueued, tracked and
@@ -264,10 +240,10 @@ func main() {
 		defer cancel()
 		httpSrv.Shutdown(shutCtx)
 		if *traceOut != "" {
-			writeTrace("coordinator")
+			writeTrace()
 		}
 		if *reportOut != "" {
-			writeReport("coordinator")
+			writeReport()
 		}
 		return
 	}
@@ -330,12 +306,12 @@ func main() {
 	defer cancel()
 	httpSrv.Shutdown(shutCtx)
 	if *traceOut != "" {
-		writeTrace("coordinator")
+		writeTrace()
 	}
 	if *reportOut != "" {
 		// Like the trace, the report writes after the grace window so the
 		// final worker pushes are in it.
-		writeReport("coordinator")
+		writeReport()
 	}
 }
 

@@ -12,8 +12,7 @@
 // goroutines (default: all cores); Ctrl-C aborts the remaining design
 // points cleanly. With -store DIR results persist across invocations
 // in an on-disk run store, so regenerating a figure against a warm
-// store simulates nothing. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// store simulates nothing.
 package main
 
 import (

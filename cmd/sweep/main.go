@@ -68,6 +68,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 	"time"
 
 	"sharedicache/internal/campaignd"
@@ -139,7 +140,8 @@ func main() {
 	flag.Parse()
 	sf := cf.sf
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM (the container stop signal) drains like Ctrl-C.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// -cpuprofile/-memprofile: whole-run pprof captures for offline

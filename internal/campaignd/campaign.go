@@ -16,10 +16,11 @@ package campaignd
 // instruction budget, seed and worker count are the server's, exactly
 // as they are for workers, so every submitter computes the same store
 // keys and overlapping campaigns deduplicate instead of diverging.
-// The server expands each spec the way sweep.Space.Build would (one
-// private baseline per benchmark, then the swept rows in submitted
-// order), which is what makes GET /v1/campaign/{id}/csv byte-identical
-// to the single-process `cmd/sweep` run over the same space.
+// The server expands each spec through sweep.Expand (one private
+// baseline per benchmark, then the swept rows in submitted order) —
+// the builder sweep.Space.Build runs on — which is what makes
+// GET /v1/campaign/{id}/csv byte-identical to the single-process
+// `cmd/sweep` run over the same space.
 //
 // Open campaigns (Open: true) park their swept rows in the dispatch
 // queue's held state; `sweep -replay` then releases them at
@@ -29,6 +30,7 @@ package campaignd
 // the open-loop driver.
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -94,62 +96,20 @@ type arriveRequest struct {
 	OffsetMillis int64
 }
 
-// campaign is the server-side record of one enqueued campaign.
-type campaign struct {
-	id      int
-	name    string
-	backend string
-	// points is the campaign-local plan; rows carries the CSV metadata
-	// with campaign-local indexes (nil for the driver's initial
-	// campaign, whose merge the driver renders itself via Stream).
-	points   []experiments.Point
-	rows     []sweep.Row
-	base     int // global dispatch index of points[0]
-	accepted time.Time
-}
-
-// buildCampaign expands a spec into its plan the way sweep.Space.Build
-// would: per benchmark one private baseline at first appearance, then
-// every swept row in submitted order. Rows a local sweep would skip
-// (cpc < 2, worker count not divisible by cpc, configurations the
-// simulator rejects) are errors here — a submitter naming them got the
-// space wrong, and silently dropping rows would break the
-// byte-identity of the merged CSV.
-func (s *Server) buildCampaign(spec CampaignSpec) (points []experiments.Point, rows []sweep.Row, held []bool, err error) {
-	opts := s.runner.Options()
-	workers := opts.Workers
-	baseIdx := map[string]int{}
+// buildCampaign expands a spec into its plan through sweep.Expand —
+// per benchmark one private baseline at first appearance, then every
+// swept row in submitted order — so the plan is the one a local sweep
+// of the same space declares. Rows a local sweep would skip are errors.
+func (s *Server) buildCampaign(spec CampaignSpec) ([]experiments.Point, []sweep.Row, error) {
+	rows := make([]sweep.Row, len(spec.Rows))
 	for k, r := range spec.Rows {
-		if r.Bench == "" {
-			return nil, nil, nil, fmt.Errorf("row %d: empty benchmark", k)
-		}
-		if _, ok := baseIdx[r.Bench]; !ok {
-			baseIdx[r.Bench] = len(points)
-			points = append(points, experiments.Point{
-				Bench: r.Bench, Cfg: sweep.BaseConfig(workers), Backend: spec.Backend,
-			})
-			held = append(held, false)
-		}
-		if r.CPC < 2 || workers%r.CPC != 0 {
-			return nil, nil, nil, fmt.Errorf("row %d: cpc %d invalid for %d workers", k, r.CPC, workers)
-		}
-		cfg := sweep.PointConfig(workers, r.CPC, r.KB, r.LB, r.Bus)
-		if err := cfg.Validate(); err != nil {
-			return nil, nil, nil, fmt.Errorf("row %d: %w", k, err)
-		}
-		backend := r.Backend
-		if backend == "" {
-			backend = spec.Backend
-		}
-		rows = append(rows, sweep.Row{
-			Bench: r.Bench, CPC: r.CPC, KB: r.KB, LB: r.LB, Bus: r.Bus,
-			BaseIdx: baseIdx[r.Bench], PointIdx: len(points),
-			Backend: opts.PointBackend(experiments.Point{Backend: backend}),
-		})
-		points = append(points, experiments.Point{Bench: r.Bench, Cfg: cfg, Backend: backend})
-		held = append(held, spec.Open)
+		rows[k] = sweep.Row{Bench: r.Bench, CPC: r.CPC, KB: r.KB, LB: r.LB, Bus: r.Bus, Backend: r.Backend}
 	}
-	return points, rows, held, nil
+	plan, rows, err := sweep.Expand(s.runner, spec.Backend, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan.Points(), rows, nil
 }
 
 // handleEnqueueCampaign admits a campaign while serving: expand, check
@@ -166,45 +126,29 @@ func (s *Server) handleEnqueueCampaign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "campaign spec has no rows", http.StatusBadRequest)
 		return
 	}
-	points, rows, held, err := s.buildCampaign(spec)
+	points, rows, err := s.buildCampaign(spec)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad campaign spec: %v", err), http.StatusBadRequest)
 		return
 	}
-	opts := s.runner.Options()
-	backendOf := make([]string, len(points))
-	hashes := make([]string, len(points))
-	for i, pt := range points {
-		name := opts.PointBackend(pt)
-		if !experiments.BackendRegistered(name) {
-			http.Error(w, fmt.Sprintf(
-				"campaign point %d (%s) names backend %q, which this coordinator does not register",
-				i, pt.Bench, name), http.StatusBadRequest)
-			return
-		}
-		backendOf[i] = name
-		hashes[i] = s.runner.PointKey(pt).Hex()
+	hashes, backendOf, err := s.planKeys(points)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	id, base := s.d.addCampaign(points, hashes, backendOf, held)
-	c := &campaign{
-		id: id, name: spec.Name, backend: spec.Backend,
-		points: points, rows: rows, base: base, accepted: s.now(),
+	held := make([]bool, len(points))
+	for _, m := range rows {
+		held[m.PointIdx] = spec.Open
 	}
-	s.campMu.Lock()
-	s.campaigns[id] = c
-	s.campMu.Unlock()
+	c := s.d.enqueue(&spec, rows, points, hashes, backendOf, held)
 	if s.tracer != nil {
 		s.tracer.Record("campaign.enqueue", tracing.SpanContext{}, c.accepted, s.now(),
-			tracing.AInt("campaign", id),
+			tracing.AInt("campaign", c.id),
 			tracing.A("name", spec.Name),
 			tracing.AInt("points", len(points)))
 	}
-	for _, h := range hashes {
-		if s.store.ContainsHash(h) {
-			s.d.completeHash(h)
-		}
-	}
-	writeJSON(w, EnqueueReply{ID: id, Points: len(points)})
+	s.resume(hashes)
+	writeJSON(w, EnqueueReply{ID: c.id, Points: len(points)})
 }
 
 // campaignByID resolves the {id} path value to an enqueued campaign.
@@ -214,14 +158,11 @@ func (s *Server) campaignByID(w http.ResponseWriter, r *http.Request) (*campaign
 		http.Error(w, "malformed campaign id", http.StatusBadRequest)
 		return nil, false
 	}
-	s.campMu.Lock()
-	c, ok := s.campaigns[id]
-	s.campMu.Unlock()
+	c, ok := s.d.campaign(id)
 	if !ok {
 		http.NotFound(w, r)
-		return nil, false
 	}
-	return c, true
+	return c, ok
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
@@ -229,24 +170,28 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	st := CampaignStatus{ID: c.id, Name: "initial"}
+	if c.spec != nil {
+		st.Name, st.Rows = c.spec.Name, len(c.spec.Rows)
+	}
 	p := s.d.campaignProgress(c.id)
-	writeJSON(w, CampaignStatus{
-		ID: c.id, Name: c.name,
-		Points: p.Points, Done: p.Done, Held: p.Held,
-		Rows:     len(c.rows),
-		Complete: p.Points > 0 && p.Done == p.Points,
-	})
+	st.Points, st.Done, st.Held = p.Points, p.Done, p.Held
+	st.Complete = p.Points > 0 && p.Done == p.Points
+	writeJSON(w, st)
 }
 
 // handleCampaignCSV renders a completed campaign's merged CSV from the
 // store — the coordinator never simulates — with the backend column
 // exactly when the spec named a backend, mirroring `sweep -backend`.
+// A complete campaign has retired, so its plan is re-expanded from the
+// spec, and its results merge through the same plan-order loop as
+// Server.Stream and the same emitter as a local sweep.
 func (s *Server) handleCampaignCSV(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.campaignByID(w, r)
 	if !ok {
 		return
 	}
-	if c.rows == nil {
+	if c.spec == nil {
 		http.Error(w, "campaign carries no row metadata (initial driver campaign; merge via its driver)",
 			http.StatusNotFound)
 		return
@@ -256,33 +201,32 @@ func (s *Server) handleCampaignCSV(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	out := sweep.NewCSV(w, s.runner.Options().Workers)
-	if c.backend != "" {
-		out.IncludeBackendColumn()
-	}
-	if err := out.Header(); err != nil {
+	points, rows, err := s.buildCampaign(*c.spec)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	for _, m := range c.rows {
-		base, ok := s.runner.Lookup(c.points[m.BaseIdx])
-		if !ok {
-			http.Error(w, fmt.Sprintf("store lost the baseline for %s", m.Bench), http.StatusInternalServerError)
-			return
-		}
-		res, ok := s.runner.Lookup(c.points[m.PointIdx])
-		if !ok {
-			http.Error(w, fmt.Sprintf("store lost the result for %s cpc=%d", m.Bench, m.CPC), http.StatusInternalServerError)
-			return
-		}
-		if err := out.Row(m, base, res); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+	// Render to memory first, so a result lost from the store is a 500,
+	// never a truncated 200.
+	var buf bytes.Buffer
+	out := sweep.NewCSV(&buf, s.runner.Options().Workers)
+	if c.spec.Backend != "" {
+		out.IncludeBackendColumn()
 	}
-	// Too late for a status change if the flush fails; the client's CSV
-	// parser will reject the truncated body.
-	_ = out.Flush()
+	results := s.stream(r.Context(), c.base, points)
+	defer func() {
+		for range results { // let the stream finish if the emitter stopped early
+		}
+	}()
+	if err = out.Header(); err == nil {
+		err = out.EmitStream(results, rows, len(points))
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/csv")
+	w.Write(buf.Bytes())
 }
 
 // handleArrive releases held rows of an open-loop campaign and books
@@ -299,15 +243,11 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	indexes := make([]int, len(req.Rows))
-	for k, row := range req.Rows {
-		if row < 0 || row >= len(c.rows) {
-			http.Error(w, fmt.Sprintf("row index %d out of range", row), http.StatusBadRequest)
-			return
-		}
-		indexes[k] = c.base + c.rows[row].PointIdx
+	indexes, err := s.d.rowIndexes(c, req.Rows)
+	if err == nil {
+		err = s.d.markArrived(indexes)
 	}
-	if err := s.d.markArrived(indexes); err != nil {
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -330,13 +330,6 @@ func (c *Client) Release(ctx context.Context, lease string, indexes []int) error
 	return c.call(ctx, http.MethodPost, "/v1/release", releaseRequest{Lease: lease, Indexes: indexes}, nil)
 }
 
-// Statsz fetches the coordinator's counters.
-func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
-	var st Statsz
-	err := c.call(ctx, http.MethodGet, "/v1/statsz", nil, &st)
-	return st, err
-}
-
 // Index fetches the coordinator store's index.
 func (c *Client) Index(ctx context.Context) ([]runstore.IndexEntry, error) {
 	var entries []runstore.IndexEntry

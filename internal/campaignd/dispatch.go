@@ -3,6 +3,7 @@ package campaignd
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"sharedicache/internal/experiments"
 	"sharedicache/internal/metrics"
+	"sharedicache/internal/sweep"
 	"sharedicache/internal/tracing"
 )
 
@@ -32,7 +34,10 @@ type lease struct {
 	worker   string
 	deadline time.Time
 	granted  time.Time
-	indexes  []int
+	// camp is the campaign every point of the batch belongs to;
+	// indexes are global point indexes.
+	camp    *campaign
+	indexes []int
 	// span is the lease's trace span (nil when tracing is off): opened
 	// at grant, its context rides the X-Trace-Context response header
 	// so the worker's batch spans parent under it, and it ends with an
@@ -40,19 +45,59 @@ type lease struct {
 	span *tracing.ActiveSpan
 }
 
-// dispatch is the coordinator's work queue over the enqueued campaign
-// plans. All methods are safe for concurrent use. Lease expiry is
+// campaign is the one record of an enqueued campaign. Its points
+// occupy the global indexes [base, base+size) of the worker protocol.
+// While any point is unfinished the record owns the per-point state
+// (live); once every point is done the campaign retires: live and its
+// content-address entries are dropped, and only the identity, the
+// accept time and the spec — enough to answer status and re-expand
+// the CSV from the store — remain.
+type campaign struct {
+	id, base, size int
+	// spec is the submitted campaign; nil for the initial plan New was
+	// given, whose merge its driver renders via Server.Stream.
+	spec     *CampaignSpec
+	accepted time.Time
+	live     *campaignState // nil once retired
+}
+
+// campaignState is a live campaign's per-point state, indexed by
+// campaign-local point index: rows are the expanded spec's (arrivals
+// map through them), backends[k] counts point k's backend, done[k]
+// closes when point k completes and enqueued[k] is when it last became
+// leasable. count tallies the points in each state, and no pending
+// point sits below the low-water cursor, so Lease scans from there.
+type campaignState struct {
+	points   []experiments.Point
+	rows     []sweep.Row
+	hashes   []string
+	backends []*backendCount
+	state    []pointState
+	done     []chan struct{}
+	enqueued []time.Time
+	count    [pointHeld + 1]int
+	cursor   int
+}
+
+// backendCount is one backend's lifetime plan and completion counts,
+// backing the per-backend gauges.
+type backendCount struct{ points, done int }
+
+// closedLatch is the completion latch of every retired point.
+var closedLatch = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// dispatch is the coordinator's work queue over the enqueued
+// campaigns. All methods are safe for concurrent use. Lease expiry is
 // lazy: every mutating call first sweeps expired leases, so as long as
 // any worker is polling for work, crashed workers' points flow back
 // into the queue without a background janitor.
 //
-// The queue is multi-campaign: addCampaign appends a plan's points at
-// any time (the worker protocol is unchanged — workers see one global
-// point index space), campOf tracks ownership, and Lease draws each
-// batch from a single campaign chosen round-robin, so one giant
-// campaign cannot starve a later small one. Open-loop campaigns park
-// points in the held state until markArrived releases them, which is
-// how `sweep -replay` submits work at trace-dictated times.
+// Workers see one global point index space, in which each campaign
+// owns a contiguous range. Open-loop campaigns park points in the held
+// state until markArrived releases them, which is how `sweep -replay`
+// submits work at trace-dictated times. A campaign whose every point
+// is done retires, so the queue's memory and per-lease work follow the
+// live campaigns, not the coordinator's history.
 //
 // batch == 0 selects adaptive batch sizing: the queue tracks an EWMA
 // of the observed per-point completion latency (lease grant to lease
@@ -66,16 +111,26 @@ type dispatch struct {
 	now   func() time.Time
 
 	mu sync.Mutex
-	// points grows as campaigns are enqueued; every read goes through
-	// d.mu because append may move the backing array under a reader.
-	points  []experiments.Point
-	state   []pointState
-	done    []chan struct{} // done[i] closed when point i completes
-	byHash  map[string][]int
-	leases  map[string]*lease
-	seq     int
-	nDone   int
-	expired int64 // leases expired so far (observability)
+	// camps holds every campaign ever enqueued, indexed by id (retired
+	// ones are a few words each); ring the live campaigns with pending
+	// points, in id order; rr the campaign id Lease starts its
+	// round-robin from.
+	camps []*campaign
+	ring  []*campaign
+	rr    int
+	// byHash maps a content address to the global indexes of the live
+	// points stored under it, which lets store-plane writes complete
+	// dispatch points.
+	byHash map[string][]int
+	leases map[string]*lease
+	seq    int
+	// total counts the points of every campaign ever enqueued, count
+	// the points in each state (done over the lifetime, the rest over
+	// the live campaigns), live the unretired campaigns.
+	total, live int
+	count       [pointHeld + 1]int
+	backends    map[string]*backendCount
+	expired     int64 // leases expired so far (observability)
 	// Lease-lifecycle counters (observability): granted counts Lease
 	// grants; completed counts Completes that reported work; forfeited
 	// counts Completes with no indexes (a worker giving a whole batch
@@ -85,26 +140,14 @@ type dispatch struct {
 	// zero until the first lease completes.
 	pointSec float64
 
-	// Multi-campaign bookkeeping: campOf[i] is the campaign owning
-	// point i, backendOf[i] the backend name its row resolves to (for
-	// the per-backend gauges), nCamps the campaigns enqueued so far and
-	// rr the fairness cursor Lease scans campaigns from.
-	campOf    []int
-	backendOf []string
-	nCamps    int
-	rr        int
-	// reg, once registerMetrics ran, lets addCampaign register gauges
-	// for backends that first appear in a later campaign;
-	// knownBackends dedups those registrations.
-	reg           *metrics.Registry
-	knownBackends map[string]bool
+	// reg, once registerMetrics ran, lets enqueue register gauges for
+	// backends that first appear in a later campaign.
+	reg *metrics.Registry
 
 	// tracer, when non-nil, records the dispatch-plane spans: a "lease"
 	// span per grant and a completed "enqueue" span per granted point
-	// covering its queue wait. enqueued[i] is when point i last became
-	// leasable (campaign start, or its latest return to the queue).
-	tracer   *tracing.Tracer
-	enqueued []time.Time
+	// covering its queue wait.
+	tracer *tracing.Tracer
 	// queueWait, when metrics are registered, books each granted
 	// point's queue wait as a /metrics histogram — the scrape-plane
 	// twin of the "enqueue" trace spans, so operators without a trace
@@ -129,83 +172,197 @@ const (
 // feeding the per-backend gauges.
 func newDispatch(points []experiments.Point, hashes, backendOf []string, ttl time.Duration, batch int, now func() time.Time) *dispatch {
 	d := &dispatch{
-		ttl:    ttl,
-		batch:  batch,
-		now:    now,
-		byHash: make(map[string][]int, len(points)),
-		leases: map[string]*lease{},
+		ttl:      ttl,
+		batch:    batch,
+		now:      now,
+		byHash:   make(map[string][]int, len(points)),
+		leases:   map[string]*lease{},
+		backends: map[string]*backendCount{},
 	}
-	d.addCampaign(points, hashes, backendOf, nil)
+	d.enqueue(nil, nil, points, hashes, backendOf, nil)
 	return d
 }
 
-// addCampaign appends one campaign's points to the queue and returns
-// the campaign's index and the global index of its first point.
-// held[i] parks point i in the held state — open-loop campaigns
-// declare their full plan up front but release rows only as the
-// replayed trace arrives — and nil makes every point leasable
-// immediately. Content addresses are global: a point whose hash
-// another campaign already published completes on that campaign's
-// store write, so overlapping campaigns never duplicate simulations.
-func (d *dispatch) addCampaign(points []experiments.Point, hashes, backendOf []string, held []bool) (camp, base int) {
+// enqueue appends one campaign — its spec and expanded rows (nil for
+// the initial plan), points, content addresses and backends — and
+// returns its record. held[k] parks point k until markArrived releases
+// it (nil: all leasable now). A point whose hash another live campaign
+// shares completes on that campaign's store write, so overlapping
+// campaigns never duplicate simulations.
+func (d *dispatch) enqueue(spec *CampaignSpec, rows []sweep.Row, points []experiments.Point, hashes, backendOf []string, held []bool) *campaign {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	camp = d.nCamps
-	d.nCamps++
-	base = len(d.points)
-	start := d.now()
-	for i := range points {
-		st := pointPending
-		if held != nil && held[i] {
-			st = pointHeld
-		}
-		d.points = append(d.points, points[i])
-		d.state = append(d.state, st)
-		d.done = append(d.done, make(chan struct{}))
-		d.enqueued = append(d.enqueued, start)
-		d.campOf = append(d.campOf, camp)
-		d.backendOf = append(d.backendOf, backendOf[i])
-		d.byHash[hashes[i]] = append(d.byHash[hashes[i]], base+i)
-		if d.reg != nil {
-			d.registerBackendLocked(backendOf[i])
-		}
+	n := len(points)
+	c := &campaign{id: len(d.camps), base: d.total, size: n, spec: spec, accepted: d.now()}
+	d.camps = append(d.camps, c)
+	if n == 0 {
+		return c // nothing to do: retired on arrival
 	}
-	return camp, base
+	d.total += n
+	d.live++
+	cs := &campaignState{
+		points: points, rows: rows, hashes: hashes,
+		backends: make([]*backendCount, n),
+		state:    make([]pointState, n),
+		done:     make([]chan struct{}, n),
+		enqueued: make([]time.Time, n),
+	}
+	c.live = cs
+	for k := range points {
+		cs.backends[k] = d.backendLocked(backendOf[k])
+		cs.backends[k].points++
+		cs.done[k] = make(chan struct{})
+		cs.enqueued[k] = c.accepted
+		d.byHash[hashes[k]] = append(d.byHash[hashes[k]], c.base+k)
+		if held != nil && held[k] {
+			cs.state[k] = pointHeld
+		}
+		cs.count[cs.state[k]]++
+		d.count[cs.state[k]]++
+	}
+	if cs.count[pointPending] > 0 {
+		d.ring = append(d.ring, c) // the newest id sorts last
+	}
+	return c
 }
 
-// markArrived releases held points to the queue (held -> pending, as
-// of now). Points already completed — deduplicated against another
-// campaign's store write, or resumed from a warm store — stay done;
-// their arrival is a no-op. Out-of-range indexes report an error.
-func (d *dispatch) markArrived(indexes []int) error {
+// campaign returns the record of campaign id.
+func (d *dispatch) campaign(id int) (*campaign, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, i := range indexes {
-		if i < 0 || i >= len(d.points) {
-			return fmt.Errorf("campaignd: point index %d out of range", i)
-		}
+	if id < 0 || id >= len(d.camps) {
+		return nil, false
 	}
-	now := d.now()
+	return d.camps[id], true
+}
+
+// locateLocked finds the campaign owning global point index i, which
+// the caller has range-checked. Caller holds d.mu.
+func (d *dispatch) locateLocked(i int) (*campaign, int) {
+	// The last campaign starting at or before i owns it (empty
+	// campaigns share their successor's base and sort before it).
+	j := sort.Search(len(d.camps), func(j int) bool { return d.camps[j].base > i }) - 1
+	c := d.camps[j]
+	return c, i - c.base
+}
+
+// checkRangeLocked rejects indexes outside every campaign ever
+// enqueued. Caller holds d.mu.
+func (d *dispatch) checkRangeLocked(indexes []int) error {
 	for _, i := range indexes {
-		if d.state[i] == pointHeld {
-			d.state[i] = pointPending
-			d.enqueued[i] = now
+		if i < 0 || i >= d.total {
+			return fmt.Errorf("campaignd: point index %d out of range", i)
 		}
 	}
 	return nil
 }
 
-// pointsAt copies the plan points at the given (already-validated)
-// indexes. Reads go through the lock because addCampaign may move the
-// backing array.
-func (d *dispatch) pointsAt(indexes []int) []experiments.Point {
+// setLocked moves live point k of c to state to, keeping every
+// counter, the pending ring and the low-water cursor current, closing
+// the completion latch on done and retiring the campaign when its
+// last point completes. Caller holds d.mu.
+func (d *dispatch) setLocked(c *campaign, k int, to pointState) {
+	cs := c.live
+	from := cs.state[k]
+	if from == to {
+		return
+	}
+	cs.state[k] = to
+	cs.count[from]--
+	d.count[from]--
+	cs.count[to]++
+	d.count[to]++
+	switch {
+	case from == pointPending && cs.count[pointPending] == 0:
+		j := d.ringSearchLocked(c.id)
+		d.ring = append(d.ring[:j], d.ring[j+1:]...)
+	case to == pointPending && cs.count[pointPending] == 1:
+		d.ring = slices.Insert(d.ring, d.ringSearchLocked(c.id), c)
+	}
+	switch to {
+	case pointPending:
+		cs.enqueued[k] = d.now()
+		cs.cursor = min(cs.cursor, k)
+	case pointDone:
+		cs.backends[k].done++
+		close(cs.done[k])
+		if cs.count[pointDone] == c.size {
+			d.retireLocked(c)
+		}
+	}
+}
+
+// ringSearchLocked is the ring position of the first campaign whose id
+// is at least id. Caller holds d.mu.
+func (d *dispatch) ringSearchLocked(id int) int {
+	return sort.Search(len(d.ring), func(j int) bool { return d.ring[j].id >= id })
+}
+
+// retireLocked drops a finished campaign's per-point state and its
+// content-address entries. Caller holds d.mu.
+func (d *dispatch) retireLocked(c *campaign) {
+	for _, h := range c.live.hashes {
+		// Filter a copy: completeHash may be ranging over the original.
+		kept := slices.DeleteFunc(slices.Clone(d.byHash[h]), func(i int) bool { return i >= c.base && i < c.base+c.size })
+		if len(kept) == 0 {
+			delete(d.byHash, h)
+		} else {
+			d.byHash[h] = kept
+		}
+	}
+	c.live = nil
+	d.live--
+}
+
+// backendLocked returns backend b's counters, registering its gauges
+// the first time the name appears. Caller holds d.mu.
+func (d *dispatch) backendLocked(b string) *backendCount {
+	bc, ok := d.backends[b]
+	if !ok {
+		bc = &backendCount{}
+		d.backends[b] = bc
+		if d.reg != nil {
+			d.registerBackendLocked(b, bc)
+		}
+	}
+	return bc
+}
+
+// markArrived releases held points to the queue (held -> pending, as
+// of now). Points already completed — deduplicated against another
+// campaign's store write, or resumed from a warm store — stay done,
+// and points of retired campaigns are done by definition; their
+// arrival is a no-op. Out-of-range indexes report an error.
+func (d *dispatch) markArrived(indexes []int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]experiments.Point, len(indexes))
-	for k, i := range indexes {
-		out[k] = d.points[i]
+	if err := d.checkRangeLocked(indexes); err != nil {
+		return err
 	}
-	return out
+	for _, i := range indexes {
+		if c, k := d.locateLocked(i); c.live != nil && c.live.state[k] == pointHeld {
+			d.setLocked(c, k, pointPending)
+		}
+	}
+	return nil
+}
+
+// rowIndexes maps campaign-local row indexes of c to the global point
+// indexes /arrive releases: none for a retired campaign, whose rows
+// are all done, and an error for an index past the spec's rows.
+func (d *dispatch) rowIndexes(c *campaign, rows []int) ([]int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var indexes []int
+	for _, row := range rows {
+		if c.spec == nil || row < 0 || row >= len(c.spec.Rows) {
+			return nil, fmt.Errorf("row index %d out of range", row)
+		}
+		if c.live != nil {
+			indexes = append(indexes, c.base+c.live.rows[row].PointIdx)
+		}
+	}
+	return indexes, nil
 }
 
 // CampaignProgress is one campaign's point accounting.
@@ -220,32 +377,11 @@ type CampaignProgress struct {
 func (d *dispatch) campaignProgress(camp int) CampaignProgress {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var p CampaignProgress
-	for i, c := range d.campOf {
-		if c != camp {
-			continue
-		}
-		p.Points++
-		switch d.state[i] {
-		case pointDone:
-			p.Done++
-		case pointHeld:
-			p.Held++
-		}
+	c := d.camps[camp]
+	if c.live == nil {
+		return CampaignProgress{Points: c.size, Done: c.size}
 	}
-	return p
-}
-
-// activeCampaignsLocked counts campaigns with incomplete points.
-// Caller holds d.mu.
-func (d *dispatch) activeCampaignsLocked() int {
-	active := map[int]bool{}
-	for i, c := range d.campOf {
-		if d.state[i] != pointDone {
-			active[c] = true
-		}
-	}
-	return len(active)
+	return CampaignProgress{Points: c.size, Done: c.live.count[pointDone], Held: c.live.count[pointHeld]}
 }
 
 // endLeaseSpanLocked finishes a lease's span with its outcome
@@ -256,6 +392,20 @@ func endLeaseSpanLocked(l *lease, outcome string) {
 	l.span.End()
 }
 
+// requeueLocked returns lease l's still-leased points to the queue.
+// Caller holds d.mu.
+func (d *dispatch) requeueLocked(l *lease) {
+	c := l.camp
+	if c.live == nil {
+		return // retired: every point is done
+	}
+	for _, i := range l.indexes {
+		if k := i - c.base; c.live.state[k] == pointLeased {
+			d.setLocked(c, k, pointPending)
+		}
+	}
+}
+
 // expireLocked returns every overdue lease's unfinished points to the
 // queue. Caller holds d.mu.
 func (d *dispatch) expireLocked() {
@@ -264,38 +414,25 @@ func (d *dispatch) expireLocked() {
 		if now.Before(l.deadline) {
 			continue
 		}
-		for _, i := range l.indexes {
-			if d.state[i] == pointLeased {
-				d.state[i] = pointPending
-				d.enqueued[i] = now
-			}
-		}
+		d.requeueLocked(l)
 		endLeaseSpanLocked(l, "expired")
 		delete(d.leases, id)
 		d.expired++
 	}
 }
 
-// markDoneLocked completes point i (idempotently). Caller holds d.mu.
-func (d *dispatch) markDoneLocked(i int) {
-	if d.state[i] == pointDone {
-		return
-	}
-	d.state[i] = pointDone
-	d.nDone++
-	close(d.done[i])
-}
-
-// completeHash marks every plan point stored under the given content
-// address as done. The store plane calls it after each successful PUT:
-// a point is complete exactly when its result is durably in the store,
-// which also lets a coordinator restarted over a warm store resume
-// instead of re-dispatching finished work.
+// completeHash marks every live plan point stored under the given
+// content address as done. The store plane calls it after each
+// successful PUT: a point is complete exactly when its result is
+// durably in the store, which also lets a coordinator restarted over a
+// warm store resume instead of re-dispatching finished work.
 func (d *dispatch) completeHash(hash string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, i := range d.byHash[hash] {
-		d.markDoneLocked(i)
+		if c, k := d.locateLocked(i); c.live != nil {
+			d.setLocked(c, k, pointDone)
+		}
 	}
 }
 
@@ -309,14 +446,7 @@ func (d *dispatch) effectiveBatchLocked() int {
 	if d.pointSec <= 0 {
 		return DefaultBatch
 	}
-	n := int(d.ttl.Seconds() * leaseFill / d.pointSec)
-	if n < 1 {
-		return 1
-	}
-	if n > maxAdaptiveBatch {
-		return maxAdaptiveBatch
-	}
-	return n
+	return min(max(int(d.ttl.Seconds()*leaseFill/d.pointSec), 1), maxAdaptiveBatch)
 }
 
 // observeLocked folds one completed lease into the per-point latency
@@ -337,15 +467,17 @@ func (d *dispatch) observeLocked(l *lease, completed int) {
 }
 
 // Lease hands out up to max pending points (at most the configured or
-// adaptive batch; max <= 0 means the full batch). Each batch is drawn
-// from a single campaign, chosen round-robin from the fairness cursor
-// — FIFO within a campaign (plan order, so early rows stream out of
-// the merge first), fair across live campaigns so one giant plan
-// cannot starve a later small one; with one campaign this is exactly
+// adaptive batch; max <= 0 means the full batch) with their plan
+// points. Each batch is drawn from a single campaign, chosen
+// round-robin from the fairness cursor over the campaigns with pending
+// points — FIFO within a campaign (plan order, so early rows stream
+// out of the merge first, and returned or stolen points go out before
+// later ones), fair across live campaigns so one giant plan cannot
+// starve a later small one; with one campaign this is exactly
 // plan-order dispatch. It returns no points when everything is
 // leased, held or done; allDone then distinguishes "poll again" from
 // "every enqueued campaign is complete".
-func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, deadline time.Time, allDone bool) {
+func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, points []experiments.Point, allDone bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	batch := d.effectiveBatchLocked()
@@ -353,52 +485,52 @@ func (d *dispatch) Lease(worker string, max int) (id string, indexes []int, dead
 		max = batch
 	}
 	d.expireLocked()
-	for off := 0; off < d.nCamps && len(indexes) == 0; off++ {
-		camp := (d.rr + off) % d.nCamps
-		for i := range d.state {
-			if d.campOf[i] == camp && d.state[i] == pointPending {
-				indexes = append(indexes, i)
-				if len(indexes) == max {
-					break
-				}
-			}
-		}
-		if len(indexes) > 0 {
-			d.rr = (camp + 1) % d.nCamps
-		}
+	if len(d.ring) == 0 {
+		return "", nil, nil, d.count[pointDone] == d.total
 	}
-	if len(indexes) == 0 {
-		return "", nil, time.Time{}, d.nDone == len(d.points)
+	j := d.ringSearchLocked(d.rr)
+	if j == len(d.ring) {
+		j = 0
 	}
+	c := d.ring[j]
+	cs := c.live
+	d.rr = (c.id + 1) % len(d.camps)
+	want := min(max, cs.count[pointPending])
+
 	d.seq++
 	d.granted++
 	id = fmt.Sprintf("lease-%d", d.seq)
 	now := d.now()
-	deadline = now.Add(d.ttl)
-	l := &lease{id: id, worker: worker, deadline: deadline, granted: now, indexes: indexes}
-	if d.queueWait != nil {
-		for _, i := range indexes {
-			d.queueWait.Observe(now.Sub(d.enqueued[i]).Seconds())
-		}
-	}
+	l := &lease{id: id, worker: worker, deadline: now.Add(d.ttl), granted: now, camp: c}
 	if d.tracer != nil {
 		// The lease span roots this batch's timeline; each granted
 		// point's queue wait is booked as a completed "enqueue" child.
 		_, l.span = d.tracer.Start(context.Background(), "lease",
 			tracing.A("lease", id),
 			tracing.A("worker", worker),
-			tracing.AInt("points", len(indexes)))
-		for _, i := range indexes {
-			d.tracer.Record("enqueue", l.span.Context(), d.enqueued[i], now,
-				tracing.AInt("point", i),
-				tracing.A("bench", d.points[i].Bench))
+			tracing.AInt("points", want))
+	}
+	for k := cs.cursor; len(indexes) < want; k++ {
+		if cs.state[k] != pointPending {
+			continue
 		}
+		i := c.base + k
+		indexes = append(indexes, i)
+		points = append(points, cs.points[k])
+		if d.queueWait != nil {
+			d.queueWait.Observe(now.Sub(cs.enqueued[k]).Seconds())
+		}
+		if d.tracer != nil {
+			d.tracer.Record("enqueue", l.span.Context(), cs.enqueued[k], now,
+				tracing.AInt("point", i),
+				tracing.A("bench", cs.points[k].Bench))
+		}
+		d.setLocked(c, k, pointLeased)
+		cs.cursor = k + 1 // nothing below is pending any more
 	}
-	for _, i := range indexes {
-		d.state[i] = pointLeased
-	}
+	l.indexes = indexes
 	d.leases[id] = l
-	return id, indexes, deadline, false
+	return id, indexes, points, false
 }
 
 // LeaseContext returns the trace context of a live lease's span, so
@@ -434,7 +566,8 @@ func (d *dispatch) Renew(id string) bool {
 // its points, because completion only ever follows a durable store
 // write — the late worker's results are real, and simulation is
 // deterministic, so whichever worker publishes first wins bytes that
-// are identical anyway. Out-of-range indexes report an error.
+// are identical anyway. Points of retired campaigns are already done;
+// out-of-range indexes report an error.
 //
 // A PARTIAL completion — indexes covering only some of the lease's
 // points (or none) — returns the rest to the queue as of this call: a
@@ -444,24 +577,18 @@ func (d *dispatch) Renew(id string) bool {
 func (d *dispatch) Complete(id string, indexes []int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, i := range indexes {
-		if i < 0 || i >= len(d.points) {
-			return fmt.Errorf("campaignd: point index %d out of range", i)
-		}
+	if err := d.checkRangeLocked(indexes); err != nil {
+		return err
 	}
 	for _, i := range indexes {
-		d.markDoneLocked(i)
+		if c, k := d.locateLocked(i); c.live != nil {
+			d.setLocked(c, k, pointDone)
+		}
 	}
 	l := d.leases[id]
 	d.observeLocked(l, len(indexes))
 	if l != nil {
-		now := d.now()
-		for _, i := range l.indexes {
-			if d.state[i] == pointLeased {
-				d.state[i] = pointPending
-				d.enqueued[i] = now
-			}
-		}
+		d.requeueLocked(l)
 		if len(indexes) == 0 {
 			d.forfeited++
 			endLeaseSpanLocked(l, "forfeited")
@@ -490,30 +617,26 @@ func (d *dispatch) Release(id string, indexes []int) {
 	if !ok {
 		return
 	}
-	drop := make(map[int]bool, len(indexes))
-	for _, i := range indexes {
-		drop[i] = true
-	}
-	now := d.now()
-	kept := l.indexes[:0]
-	for _, i := range l.indexes {
-		if drop[i] && d.state[i] == pointLeased {
-			d.state[i] = pointPending
-			d.enqueued[i] = now
-			d.releasedPts++
-			continue
+	c := l.camp
+	l.indexes = slices.DeleteFunc(l.indexes, func(i int) bool {
+		if c.live == nil || !slices.Contains(indexes, i) || c.live.state[i-c.base] != pointLeased {
+			return false
 		}
-		kept = append(kept, i)
-	}
-	l.indexes = kept
+		d.setLocked(c, i-c.base, pointPending)
+		d.releasedPts++
+		return true
+	})
 }
 
-// Done exposes point i's completion latch. The lock is for the slice
-// header, which addCampaign may move; the latch itself never changes.
+// Done exposes point i's completion latch (closed for every point of a
+// retired campaign).
 func (d *dispatch) Done(i int) <-chan struct{} {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.done[i]
+	if c, k := d.locateLocked(i); c.live != nil {
+		return c.live.done[k]
+	}
+	return closedLatch
 }
 
 // Batch reports the batch size the next lease would be granted at.
@@ -532,6 +655,8 @@ type LeaseInfo struct {
 
 // DispatchStats is a snapshot of the queue for /v1/statsz.
 type DispatchStats struct {
+	// Points and Done count over every campaign ever enqueued; Leased,
+	// Pending and Held over the live ones.
 	Points, Done, Leased, Pending int
 	// Held counts declared-but-unarrived open-loop points; Campaigns
 	// counts campaigns enqueued over the queue's lifetime and
@@ -552,51 +677,6 @@ type DispatchStats struct {
 	EffectiveBatch  int
 	MeanPointMillis int64
 	ActiveLeases    []LeaseInfo
-}
-
-// Stats snapshots the queue (and sweeps expired leases while at it, so
-// even an otherwise idle coordinator reports crashed workers' leases
-// as expired and their points as pending again).
-func (d *dispatch) Stats() DispatchStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.expireLocked()
-	st := DispatchStats{
-		Points:          len(d.points),
-		Campaigns:       d.nCamps,
-		ActiveCampaigns: d.activeCampaignsLocked(),
-		Leases:          len(d.leases),
-		ExpiredLeases:   d.expired,
-		GrantedLeases:   d.granted,
-		CompletedLeases: d.completed,
-		ForfeitedLeases: d.forfeited,
-		ReleasedPoints:  d.releasedPts,
-		EffectiveBatch:  d.effectiveBatchLocked(),
-		MeanPointMillis: int64(d.pointSec * 1000),
-	}
-	for _, s := range d.state {
-		switch s {
-		case pointDone:
-			st.Done++
-		case pointLeased:
-			st.Leased++
-		case pointHeld:
-			st.Held++
-		default:
-			st.Pending++
-		}
-	}
-	now := d.now()
-	for _, l := range d.leases {
-		st.ActiveLeases = append(st.ActiveLeases, LeaseInfo{
-			Lease: l.id, Worker: l.worker, Points: len(l.indexes),
-			ExpiresInMillis: l.deadline.Sub(now).Milliseconds(),
-		})
-	}
-	sort.Slice(st.ActiveLeases, func(i, j int) bool {
-		return st.ActiveLeases[i].Lease < st.ActiveLeases[j].Lease
-	})
-	return st
 }
 
 // activeLeases lists the live leases (sweeping expired ones first) —
@@ -632,36 +712,14 @@ func (d *dispatch) lockedRead(read func() float64) func() float64 {
 	}
 }
 
-// registerBackendLocked registers the per-backend plan/done gauges the
-// first time a backend name appears. The callbacks scan live dispatch
-// state — not a snapshot — so campaigns enqueued after registration
-// are folded into existing series automatically, and a backend that
-// first appears in a later campaign gets its series the moment
-// addCampaign sees it. Caller holds d.mu.
-func (d *dispatch) registerBackendLocked(b string) {
-	if d.knownBackends == nil {
-		d.knownBackends = map[string]bool{}
-	}
-	if d.knownBackends[b] {
-		return
-	}
-	d.knownBackends[b] = true
-	count := func(match func(i int) bool) func() float64 {
-		return d.lockedRead(func() float64 {
-			n := 0
-			for i := range d.backendOf {
-				if match(i) {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	}
+// registerBackendLocked registers one backend's plan/done gauges over
+// its lifetime counters, which campaigns enqueued later keep adding
+// to. Caller holds d.mu.
+func (d *dispatch) registerBackendLocked(b string, bc *backendCount) {
 	d.reg.GaugeFunc("campaignd_points", "plan points by simulation backend",
-		count(func(i int) bool { return d.backendOf[i] == b }), metrics.L("backend", b))
+		d.lockedRead(func() float64 { return float64(bc.points) }), metrics.L("backend", b))
 	d.reg.GaugeFunc("campaignd_points_done", "plan points completed (result durably in the store) by backend",
-		count(func(i int) bool { return d.backendOf[i] == b && d.state[i] == pointDone }),
-		metrics.L("backend", b))
+		d.lockedRead(func() float64 { return float64(bc.done) }), metrics.L("backend", b))
 }
 
 // registerMetrics exposes the queue on reg as func-backed instruments,
@@ -674,27 +732,23 @@ func (d *dispatch) registerMetrics(reg *metrics.Registry) {
 	d.reg = reg
 	d.queueWait = reg.Histogram("campaignd_queue_wait_seconds",
 		"seconds a plan point waited in the queue before being leased", metrics.DurationBuckets)
-	for _, b := range d.backendOf {
-		d.registerBackendLocked(b)
+	for b, bc := range d.backends {
+		d.registerBackendLocked(b, bc)
 	}
 	d.mu.Unlock()
 	locked := d.lockedRead
-	countState := func(want pointState) func() float64 {
-		return locked(func() float64 {
-			n := 0
-			for _, s := range d.state {
-				if s == want {
-					n++
-				}
-			}
-			return float64(n)
-		})
+	for _, g := range []struct {
+		name, help string
+		src        *int
+	}{
+		{"campaignd_queue_pending", "plan points waiting to be leased", &d.count[pointPending]},
+		{"campaignd_points_leased", "plan points owned by live leases", &d.count[pointLeased]},
+		{"campaignd_points_held", "open-loop plan points declared but not yet arrived", &d.count[pointHeld]},
+		{"campaignd_campaigns_active", "enqueued campaigns with incomplete points", &d.live},
+	} {
+		src := g.src
+		reg.GaugeFunc(g.name, g.help, locked(func() float64 { return float64(*src) }))
 	}
-	reg.GaugeFunc("campaignd_queue_pending", "plan points waiting to be leased", countState(pointPending))
-	reg.GaugeFunc("campaignd_points_leased", "plan points owned by live leases", countState(pointLeased))
-	reg.GaugeFunc("campaignd_points_held", "open-loop plan points declared but not yet arrived", countState(pointHeld))
-	reg.GaugeFunc("campaignd_campaigns_active", "enqueued campaigns with incomplete points",
-		locked(func() float64 { return float64(d.activeCampaignsLocked()) }))
 	reg.GaugeFunc("campaignd_leases_live", "live (unexpired) leases",
 		locked(func() float64 { return float64(len(d.leases)) }))
 	reg.GaugeFunc("campaignd_lease_batch", "points the next lease would be granted",
@@ -715,5 +769,5 @@ func (d *dispatch) registerMetrics(reg *metrics.Registry) {
 		reg.CounterFunc(c.name, c.help, locked(func() float64 { return float64(*src) }))
 	}
 	reg.CounterFunc("campaignd_campaigns_total", "campaigns enqueued over the coordinator's lifetime",
-		locked(func() float64 { return float64(d.nCamps) }))
+		locked(func() float64 { return float64(len(d.camps)) }))
 }

@@ -32,6 +32,40 @@ func testDispatch(n int, ttl time.Duration, batch int, clk *fakeClock) *dispatch
 	return newDispatch(points, hashes, backends, ttl, batch, clk.now)
 }
 
+// addCampaign enqueues a bare plan (no spec) with optional held flags
+// and returns the campaign's id and the global index of its first
+// point.
+func (d *dispatch) addCampaign(points []experiments.Point, hashes, backendOf []string, held []bool) (camp, base int) {
+	c := d.enqueue(nil, nil, points, hashes, backendOf, held)
+	return c.id, c.base
+}
+
+// Stats snapshots the queue's counters and live leases (sweeping
+// expired leases first), as /v1/statsz reports them.
+func (d *dispatch) Stats() DispatchStats {
+	leases := d.activeLeases()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return DispatchStats{
+		Points:          d.total,
+		Done:            d.count[pointDone],
+		Leased:          d.count[pointLeased],
+		Pending:         d.count[pointPending],
+		Held:            d.count[pointHeld],
+		Campaigns:       len(d.camps),
+		ActiveCampaigns: d.live,
+		Leases:          len(d.leases),
+		ExpiredLeases:   d.expired,
+		GrantedLeases:   d.granted,
+		CompletedLeases: d.completed,
+		ForfeitedLeases: d.forfeited,
+		ReleasedPoints:  d.releasedPts,
+		EffectiveBatch:  d.effectiveBatchLocked(),
+		MeanPointMillis: int64(d.pointSec * 1000),
+		ActiveLeases:    leases,
+	}
+}
+
 func mustLease(t *testing.T, d *dispatch, worker string, want []int) string {
 	t.Helper()
 	id, got, _, done := d.Lease(worker, 0)

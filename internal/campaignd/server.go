@@ -72,7 +72,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"sharedicache/internal/experiments"
@@ -153,10 +152,6 @@ type Server struct {
 	reports *simreport.Collector
 	now     func() time.Time
 
-	// campMu guards the enqueued-campaign records; the dispatch queue
-	// itself has its own lock.
-	campMu     sync.Mutex
-	campaigns  map[int]*campaign
 	arrivalLag *metrics.Histogram
 }
 
@@ -238,34 +233,17 @@ func New(cfg ServerConfig) (*Server, error) {
 		cfg.now = time.Now
 	}
 	s := &Server{
-		runner:    cfg.Runner,
-		store:     cfg.Store,
-		points:    append([]experiments.Point(nil), cfg.Points...),
-		now:       cfg.now,
-		campaigns: map[int]*campaign{},
+		runner: cfg.Runner,
+		store:  cfg.Store,
+		points: append([]experiments.Point(nil), cfg.Points...),
+		now:    cfg.now,
 	}
-	// Every plan point's backend must be registered in THIS process:
-	// the coordinator's store keys embed the backend's versioned
-	// fingerprint, so a backend it cannot resolve would hash
-	// differently here than on the capable worker that executes it —
-	// the worker's results would land under keys the dispatch plane
-	// never matches, silently wedging the merge. Refusing at startup
-	// turns that into an actionable error.
-	opts := cfg.Runner.Options()
-	backendOf := make([]string, len(s.points))
-	for i, pt := range s.points {
-		name := opts.PointBackend(pt)
-		if !experiments.BackendRegistered(name) {
-			return nil, fmt.Errorf(
-				"campaignd: plan point %d (%s) names backend %q, which this coordinator does not register — build the coordinator with the backend linked in",
-				i, pt.Bench, name)
-		}
-		backendOf[i] = name
+	hashes, backendOf, err := s.planKeys(s.points)
+	if err != nil {
+		return nil, fmt.Errorf("campaignd: %w — build the coordinator with the backend linked in", err)
 	}
-	hashes := make([]string, len(s.points))
-	for i, pt := range s.points {
-		hashes[i] = cfg.Runner.PointKey(pt).Hex()
-	}
+	// The initial plan is campaign 0: an ordinary campaign (possibly
+	// empty) whose merge stays with the driver's Stream.
 	s.d = newDispatch(s.points, hashes, backendOf, cfg.TTL, cfg.Batch, cfg.now)
 	s.tracer = cfg.Tracer
 	s.d.tracer = cfg.Tracer
@@ -280,19 +258,7 @@ func New(cfg ServerConfig) (*Server, error) {
 	// scrapeable (with zero counts) before any open-loop campaign runs.
 	s.arrivalLag = s.metrics.Histogram("campaignd_arrival_lag_seconds",
 		"seconds an open-loop submission lagged its trace-dictated arrival time", metrics.DurationBuckets)
-	// The initial plan is campaign 0; record it so GET /v1/campaign/0
-	// reports its progress (its merge stays with the driver's Stream —
-	// no row metadata here, so its /csv endpoint 404s).
-	s.campMu.Lock()
-	s.campaigns[0] = &campaign{id: 0, name: "initial", points: s.points, accepted: cfg.now()}
-	s.campMu.Unlock()
-	// Resume: points whose results already sit in the store are done —
-	// the campaign's source of truth is the store, not the queue.
-	for i := range s.points {
-		if s.store.ContainsHash(hashes[i]) {
-			s.d.completeHash(hashes[i])
-		}
-	}
+	s.resume(hashes)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /v1/run/{hash}", s.handleGetRun)
 	s.mux.HandleFunc("PUT /v1/run/{hash}", s.handlePutRun)
@@ -315,13 +281,39 @@ func New(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Tracer returns the coordinator's tracer (nil when tracing is off).
-func (s *Server) Tracer() *tracing.Tracer { return s.tracer }
+// resume completes every point whose result already sits in the store
+// — a campaign's source of truth is the store, not the queue — so a
+// restarted coordinator or an overlapping campaign skips finished work.
+func (s *Server) resume(hashes []string) {
+	for _, h := range hashes {
+		if s.store.ContainsHash(h) {
+			s.d.completeHash(h)
+		}
+	}
+}
 
-// Reports returns the coordinator's simulation-report collector (nil
-// when reporting is off). The driver's -report flag writes it to a
-// file at exit.
-func (s *Server) Reports() *simreport.Collector { return s.reports }
+// planKeys resolves a plan's content addresses and backend names.
+// Every point's backend must be registered in THIS process: the
+// coordinator's store keys embed the backend's versioned fingerprint,
+// so a backend it cannot resolve would hash differently here than on
+// the capable worker that executes it — the worker's results would
+// land under keys the dispatch plane never matches, silently wedging
+// the merge. Refusing up front turns that into an actionable error.
+func (s *Server) planKeys(points []experiments.Point) (hashes, backendOf []string, err error) {
+	opts := s.runner.Options()
+	hashes = make([]string, len(points))
+	backendOf = make([]string, len(points))
+	for i, pt := range points {
+		name := opts.PointBackend(pt)
+		if !experiments.BackendRegistered(name) {
+			return nil, nil, fmt.Errorf(
+				"plan point %d (%s) names backend %q, which this coordinator does not register", i, pt.Bench, name)
+		}
+		backendOf[i] = name
+		hashes[i] = s.runner.PointKey(pt).Hex()
+	}
+	return hashes, backendOf, nil
+}
 
 // Handler returns the coordinator's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -483,16 +475,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	id, indexes, _, allDone := s.d.Lease(req.Worker, req.Max)
+	id, indexes, points, allDone := s.d.Lease(req.Worker, req.Max)
 	// Hand the worker the lease span's trace context so its batch and
 	// point spans parent under this grant in the merged timeline.
 	if sc := s.d.LeaseContext(id); sc.Valid() {
 		w.Header().Set(tracing.Header, sc.String())
 	}
 	resp := LeaseGrant{Lease: id, TTLMillis: s.d.ttl.Milliseconds(), Done: allDone}
-	// Points come off the dispatch queue, not s.points: a granted index
-	// may belong to a campaign enqueued after startup.
-	for k, pt := range s.d.pointsAt(indexes) {
+	for k, pt := range points {
 		resp.Points = append(resp.Points, LeasedPoint{Index: indexes[k], Point: pt})
 	}
 	writeJSON(w, resp)

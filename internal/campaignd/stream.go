@@ -19,12 +19,20 @@ import (
 // The coordinator itself never simulates: every result is resolved
 // from the store after the dispatch plane marks its point done.
 func (s *Server) Stream(ctx context.Context) <-chan experiments.PointResult {
+	return s.stream(ctx, 0, s.points)
+}
+
+// stream is the one plan-order resolve loop: Stream runs it over the
+// initial plan, GET /v1/campaign/{id}/csv over a re-expanded campaign
+// whose points start at global dispatch index base. Results carry
+// campaign-local indexes.
+func (s *Server) stream(ctx context.Context, base int, points []experiments.Point) <-chan experiments.PointResult {
 	out := make(chan experiments.PointResult)
 	go func() {
 		defer close(out)
-		for i, pt := range s.points {
+		for i, pt := range points {
 			select {
-			case <-s.d.Done(i):
+			case <-s.d.Done(base + i):
 			case <-ctx.Done():
 				out <- experiments.PointResult{Index: i, Point: pt, Err: ctx.Err()}
 				return

@@ -19,8 +19,8 @@ import (
 
 // Worker leases batches of design points from a coordinator, simulates
 // them with a local Runner whose second cache tier is the
-// coordinator's store plane, and completes the leases. Both cmd/sweep
-// -remote -worker and cmd/campaignd -join run exactly this loop.
+// coordinator's store plane, and completes the leases. cmd/sweep
+// -remote URL -worker runs exactly this loop.
 type Worker struct {
 	// URL is the coordinator base URL.
 	URL string
@@ -121,8 +121,10 @@ func newWorkerMetrics(reg *metrics.Registry) *workerMetrics {
 	}
 }
 
-// Run executes the worker loop until the campaign completes, the
-// context dies, or a simulation fails. Joining a coordinator that is
+// Run executes the worker loop until every campaign enqueued on the
+// coordinator is complete (a lease answered Done), the context dies,
+// or a simulation fails; a worker does not wait for campaigns that
+// have not been submitted yet. Joining a coordinator that is
 // still starting up is tolerated with a short handshake retry.
 func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	client, err := NewClient(w.URL)

@@ -37,7 +37,8 @@ type Options struct {
 	Workers int
 	// Instructions is the master-thread instruction budget per
 	// benchmark. The paper traces >=20 G instructions; the default here
-	// is laptop-scale and EXPERIMENTS.md documents the effect.
+	// is laptop-scale, which inflates cold-miss MPKI (see
+	// synth.Config.MasterInstructions).
 	Instructions uint64
 	// Seed drives workload synthesis.
 	Seed uint64

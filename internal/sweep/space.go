@@ -8,7 +8,8 @@
 // The package splits the campaign into three composable pieces:
 //
 //   - Space expands the swept axes into an ordered plan plus Row
-//     metadata tying each CSV row to its plan indexes (Build);
+//     metadata tying each CSV row to its plan indexes (Build), and
+//     Expand does the same for an explicit row list;
 //   - Evaluator derives each row's Metrics (normalised time, MPKI,
 //     area/energy ratios) from raw simulation results;
 //   - CSV renders rows — batch (Row/WriteRow) or streaming
@@ -21,6 +22,8 @@
 package sweep
 
 import (
+	"fmt"
+
 	"sharedicache/internal/core"
 	"sharedicache/internal/experiments"
 )
@@ -62,41 +65,91 @@ type Row struct {
 // count not divisible by cpc, configurations the simulator rejects)
 // are skipped exactly as cmd/sweep always has.
 func (sp Space) Build(r *experiments.Runner) (*experiments.Plan, []Row) {
-	workers := r.Options().Workers
-	plan := r.Plan()
-	baseIdx := map[string]int{}
-	var rows []Row
-	add := func(bench string, cfg core.Config) int {
-		return plan.AddPoint(experiments.Point{Bench: bench, Cfg: cfg, Backend: sp.Backend})
-	}
-	// Rows are labelled with the backend the points will actually run
-	// on — resolved through the runner's own rule, so a Space left at
-	// "" over a runner with Options.Backend set still labels truthfully.
-	rowBackend := r.Options().PointBackend(experiments.Point{Backend: sp.Backend})
-	for _, b := range sp.Benches {
-		baseIdx[b] = add(b, BaseConfig(workers))
+	b := builder{plan: r.Plan(), opts: r.Options()}
+	for _, bench := range sp.Benches {
+		base := b.baseline(bench, sp.Backend)
 		for _, cpc := range sp.CPCs {
-			if workers%cpc != 0 || cpc < 2 {
+			if !b.validCPC(cpc) {
 				continue
 			}
 			for _, kb := range sp.SizesKB {
 				for _, lb := range sp.LineBuffers {
 					for _, bus := range sp.Buses {
-						cfg := PointConfig(workers, cpc, kb, lb, bus)
-						if err := cfg.Validate(); err != nil {
-							continue
-						}
-						rows = append(rows, Row{
-							Bench: b, CPC: cpc, KB: kb, LB: lb, Bus: bus,
-							BaseIdx: baseIdx[b], PointIdx: add(b, cfg),
-							Backend: rowBackend,
-						})
+						// A rejected combination is skipped, as documented above.
+						_ = b.row(Row{Bench: bench, CPC: cpc, KB: kb, LB: lb, Bus: bus, BaseIdx: base, Backend: sp.Backend})
 					}
 				}
 			}
 		}
 	}
-	return plan, rows
+	return b.plan, b.rows
+}
+
+// Expand declares an explicit row list on r in the given order, each
+// benchmark's baseline at its first appearance, every point on backend
+// unless its row's Backend overrides it; the rows come back with their
+// plan indexes and resolved backends. A row Build would skip is an
+// error here: dropping it would break the merged CSV's byte-identity.
+func Expand(r *experiments.Runner, backend string, rows []Row) (*experiments.Plan, []Row, error) {
+	b := builder{plan: r.Plan(), opts: r.Options()}
+	baseIdx := map[string]int{}
+	for k, m := range rows {
+		if m.Bench == "" {
+			return nil, nil, fmt.Errorf("row %d: empty benchmark", k)
+		}
+		base, ok := baseIdx[m.Bench]
+		if !ok {
+			base = b.baseline(m.Bench, backend)
+			baseIdx[m.Bench] = base
+		}
+		m.BaseIdx = base
+		if m.Backend == "" {
+			m.Backend = backend
+		}
+		if err := b.row(m); err != nil {
+			return nil, nil, fmt.Errorf("row %d: %w", k, err)
+		}
+	}
+	return b.plan, b.rows, nil
+}
+
+// builder lays out a campaign's plan and rows for both Build and
+// Expand, which differ only in what they do with a rejected row.
+type builder struct {
+	plan *experiments.Plan
+	opts experiments.Options
+	rows []Row
+}
+
+// baseline appends bench's private baseline and returns its index.
+func (b *builder) baseline(bench, backend string) int {
+	return b.plan.AddPoint(experiments.Point{
+		Bench: bench, Cfg: BaseConfig(b.opts.Workers), Backend: backend,
+	})
+}
+
+// validCPC reports whether the worker count splits into clusters of
+// cpc cores.
+func (b *builder) validCPC(cpc int) bool {
+	return cpc >= 2 && b.opts.Workers%cpc == 0
+}
+
+// row appends the shared point m describes on m.Backend, normalised
+// against the baseline at m.BaseIdx, and records its Row, labelled
+// with the backend the runner resolves it to.
+func (b *builder) row(m Row) error {
+	if !b.validCPC(m.CPC) {
+		return fmt.Errorf("cpc %d invalid for %d workers", m.CPC, b.opts.Workers)
+	}
+	cfg := PointConfig(b.opts.Workers, m.CPC, m.KB, m.LB, m.Bus)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	pt := experiments.Point{Bench: m.Bench, Cfg: cfg, Backend: m.Backend}
+	m.PointIdx = b.plan.AddPoint(pt)
+	m.Backend = b.opts.PointBackend(pt)
+	b.rows = append(b.rows, m)
+	return nil
 }
 
 // BaseConfig is the private-I-cache baseline every row is normalised

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,5 +155,49 @@ func TestSpaceBackendStampsPoints(t *testing.T) {
 	_, rows = sp.Build(ana)
 	if rows[0].Backend != "analytical" {
 		t.Fatalf("row backend = %q, want the runner's campaign backend", rows[0].Backend)
+	}
+}
+
+// TestExpandMatchesBuild pins the one builder both entry points share:
+// expanding a space's own rows reproduces Build's plan and rows
+// exactly, baselines declared at each benchmark's first row, while a
+// row Build would skip — or one naming no benchmark — is an error
+// instead of a silent drop.
+func TestExpandMatchesBuild(t *testing.T) {
+	r := testRunner(t)
+	sp := Space{
+		Benches: []string{"FT", "UA"}, CPCs: []int{1, 2, 8}, SizesKB: []int{16, 32},
+		LineBuffers: []int{4}, Buses: []int{1, 2}, Backend: "analytical",
+	}
+	plan, rows := sp.Build(r)
+	in := make([]Row, len(rows))
+	for i, m := range rows {
+		in[i] = Row{Bench: m.Bench, CPC: m.CPC, KB: m.KB, LB: m.LB, Bus: m.Bus}
+	}
+	xplan, xrows, err := Expand(r, sp.Backend, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(xplan.Points(), plan.Points()) || !reflect.DeepEqual(xrows, rows) {
+		t.Fatalf("Expand of Build's rows diverged:\nplan %v\nwant %v\nrows %v\nwant %v",
+			xplan.Points(), plan.Points(), xrows, rows)
+	}
+
+	// A per-row override runs that row (only) on its own backend.
+	_, xrows, err = Expand(r, "", []Row{{Bench: "FT", CPC: 8, KB: 16, LB: 4, Bus: 1, Backend: "analytical"}})
+	if err != nil || xrows[0].Backend != "analytical" || xrows[0].BaseIdx != 0 || xrows[0].PointIdx != 1 {
+		t.Fatalf("override row = %+v, %v", xrows, err)
+	}
+
+	for _, bad := range []Row{
+		{Bench: "FT", CPC: 1, KB: 16, LB: 4, Bus: 1},
+		{Bench: "FT", CPC: 3, KB: 16, LB: 4, Bus: 1},
+		{Bench: "FT", CPC: 0, KB: 16, LB: 4, Bus: 1},
+		{Bench: "FT", CPC: 2, KB: 0, LB: 4, Bus: 1},
+		{CPC: 2, KB: 16, LB: 4, Bus: 1},
+	} {
+		if _, _, err := Expand(r, "", []Row{bad}); err == nil {
+			t.Fatalf("Expand accepted %+v", bad)
+		}
 	}
 }

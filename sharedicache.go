@@ -167,15 +167,6 @@ type DesignPoint = experiments.Point
 // never cross-pollute.
 type SimulationBackend = experiments.Backend
 
-// RegisterSimulationBackend adds a backend to the registry under its
-// selection name (it panics on duplicates).
-func RegisterSimulationBackend(name string, f experiments.BackendFactory) {
-	experiments.RegisterBackend(name, f)
-}
-
-// SimulationBackends lists the registered backend names, sorted.
-func SimulationBackends() []string { return experiments.BackendNames() }
-
 // CampaignPlan is an ordered batch of design points; RunAll fans it
 // out across ExperimentOptions.Parallelism goroutines and returns
 // results in plan order.
@@ -233,12 +224,6 @@ func NewCampaignServer(cfg CampaignServerConfig) (*CampaignServer, error) {
 // plane, for campaigns spanning machines without a shared filesystem.
 type RemoteRunStore = campaignd.RemoteStore
 
-// OpenRemoteRunStore builds a client for the coordinator at baseURL;
-// ctx bounds the lifetime of every request the store makes.
-func OpenRemoteRunStore(ctx context.Context, baseURL string) (*RemoteRunStore, error) {
-	return campaignd.NewRemoteStore(ctx, baseURL)
-}
-
 // CampaignWorker leases design points from a CampaignServer, simulates
 // them, and publishes the results back through the store plane.
 type CampaignWorker = campaignd.Worker
@@ -249,9 +234,6 @@ type CampaignWorker = campaignd.Worker
 // Metrics field, or a CampaignServer via its config to publish the
 // whole campaign's health on one GET /metrics endpoint.
 type MetricsRegistry = metrics.Registry
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // Tracer records bounded in-memory span timelines; attach one to a
 // Runner with SetTracer, a CampaignServer via its config, or a
@@ -268,15 +250,6 @@ type TracerConfig = tracing.Config
 // microsecond start and duration, and free-form attributes.
 type TraceSpan = tracing.Span
 
-// NewTracer builds a span recorder with a fresh trace ID.
-func NewTracer(cfg TracerConfig) *Tracer { return tracing.New(cfg) }
-
-// WriteChromeTrace renders spans as Chrome trace-event JSON, loadable
-// in Perfetto (processes become pids, engine worker slots become tids).
-func WriteChromeTrace(w io.Writer, spans []TraceSpan) error {
-	return tracing.WriteChromeTrace(w, spans)
-}
-
 // SimReport is one design point's microarchitectural telemetry:
 // per-core CPI stall stacks, per-level I-cache traffic, bus occupancy,
 // DRAM and runtime counters, plus the host-side cost of simulating it.
@@ -292,15 +265,6 @@ type SimReportCollector = simreport.Collector
 // SimReportSummary is the campaign-wide aggregate: totals, stall
 // shares, and per-backend / per-configuration distributions.
 type SimReportSummary = simreport.Summary
-
-// NewSimReportCollector builds an empty report collector.
-func NewSimReportCollector() *SimReportCollector { return simreport.NewCollector() }
-
-// WriteSimReports writes a collector's reports and their summary as
-// indented JSON to path, returning the report count.
-func WriteSimReports(path string, c *SimReportCollector) (int, error) {
-	return simreport.WriteFile(path, c)
-}
 
 // DesignSpace enumerates the swept design-space axes shared by
 // cmd/sweep and cmd/campaignd; Build declares it on a Runner as a

@@ -82,7 +82,8 @@ func main() {
 	defer stop()
 
 	// -trace: record a span timeline — the coordinator's own spans
-	// merged with the workers' pushed ones — served at GET /v1/trace
+	// merged with those workers send with batch completion — served at
+	// GET /v1/trace
 	// and exported as Chrome trace-event JSON at exit.
 	var tracer *tracing.Tracer
 	writeTrace := func() {
@@ -94,8 +95,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "campaignd: trace: %d spans written to %s (coordinator)\n", n, *traceOut)
 	}
 
-	// -report: aggregate the workers' pushed per-point simulation
-	// telemetry behind GET /v1/simstatsz and write it as JSON at exit.
+	// -report: aggregate the per-point simulation telemetry workers send
+	// with batch completion behind GET /v1/simstatsz and write it as
+	// JSON at exit.
 	var reporter *simreport.Collector
 	if *reportOut != "" {
 		reporter = simreport.NewCollector()
@@ -144,7 +146,7 @@ func main() {
 	if reporter != nil {
 		// Any simulations the coordinator itself runs (refine prep's
 		// calibration and triage) report into the same collector the
-		// workers push to.
+		// workers' Completes feed.
 		runner.SetReporter(reporter)
 	}
 
@@ -296,8 +298,9 @@ func main() {
 	}
 
 	// Let polling workers observe Done before the listener goes away.
-	// The grace window also collects the final worker span pushes, so
-	// the exported timeline is the complete merged one.
+	// The grace window also collects the final telemetry-carrying
+	// Completes (a worker that abandoned its last batch sends one after
+	// Done), so the exported timeline is the complete merged one.
 	select {
 	case <-time.After(*grace):
 	case <-ctx.Done():
@@ -310,7 +313,7 @@ func main() {
 	}
 	if *reportOut != "" {
 		// Like the trace, the report writes after the grace window so the
-		// final worker pushes are in it.
+		// final worker Completes are in it.
 		writeReport()
 	}
 }

@@ -274,8 +274,8 @@ func main() {
 		// Worker mode: the campaign (benchmarks, axes, budgets) is the
 		// coordinator's; every design-space flag of this process is
 		// ignored so keys cannot disagree. A -report collector stays
-		// local: the worker writes its own file instead of pushing to
-		// the coordinator.
+		// local: the worker writes its own file instead of sending its
+		// reports to the coordinator with batch completion.
 		if *cf.remote == "" {
 			fatal(errors.New("-worker requires -remote URL"))
 		}

@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -172,23 +171,11 @@ func (molassesStub) Execute(ctx context.Context, bench string, cfg core.Config, 
 func TestHeartbeatAbandonsBlackholedRenew(t *testing.T) {
 	registerMolassesStub()
 	pts := []experiments.Point{{Bench: "FT", Cfg: core.DefaultConfig(), Backend: "molasses-sim"}}
+	// Blackhole every renewal of the first lease only: the re-leased
+	// batch must heartbeat normally and finish.
 	_, hs := wrapCoordinator(t, pts,
 		func(cfg *ServerConfig) { cfg.TTL = 250 * time.Millisecond },
-		func(inner http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodPost && r.URL.Path == "/v1/renew" {
-					body, _ := io.ReadAll(r.Body)
-					// Blackhole every renewal of the first lease only: the
-					// re-leased batch must heartbeat normally and finish.
-					if strings.Contains(string(body), `"lease-1"`) {
-						http.Error(w, "injected renew outage", http.StatusServiceUnavailable)
-						return
-					}
-					r.Body = io.NopCloser(bytes.NewReader(body))
-				}
-				inner.ServeHTTP(w, r)
-			})
-		})
+		blackholeRenewals("lease-1"))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 

@@ -1,46 +1,55 @@
 package campaignd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sharedicache/internal/simreport"
+	"sharedicache/internal/tracing"
 )
 
 // TestSimReportE2E is the telemetry acceptance pin: a two-worker
 // loopback campaign with a reporting coordinator collects exactly one
-// report per dispatched point — pushed by the workers, who need no
-// flag of their own (collection auto-enables from the campaign
-// handshake) — every report satisfies cycle conservation on this
+// report per dispatched point — sent by the workers inside the one
+// Complete each executed lease sends, with no flag of their own
+// (collection auto-enables from the campaign handshake) — every
+// report satisfies cycle conservation on this
 // all-detailed plan, and GET /v1/simstatsz serves the aggregate whose
 // count agrees with the merged stream's point count.
 func TestSimReportE2E(t *testing.T) {
 	col := simreport.NewCollector()
 	pts := testPoints()
-	srv, hs, _ := testServer(t, pts, func(cfg *ServerConfig) {
+	calls := newCallLog()
+	srv, hs := wrapCoordinator(t, pts, func(cfg *ServerConfig) {
 		cfg.Batch = 2 // force the workers to interleave leases
 		cfg.Reports = col
-	})
+	}, calls.wrap)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	var wg sync.WaitGroup
+	var leases atomic.Int64
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			w := Worker{URL: hs.URL, ID: "w" + string(rune('1'+i)), Parallelism: 2}
-			if _, err := w.Run(ctx); err != nil {
+			rep, err := w.Run(ctx)
+			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 			}
+			leases.Add(int64(rep.Leases))
 		}(i)
 	}
 	merged := collectStream(t, srv.Stream(ctx), len(pts))
 	wg.Wait()
+	calls.checkWorkerCalls(t, int(leases.Load()))
 
 	// One report per dispatched point, keyed to the coordinator's own
 	// point hashes.
@@ -143,17 +152,18 @@ func TestSimReportWorkerLocalCollector(t *testing.T) {
 	if local.Len() != rep.Points {
 		t.Fatalf("local collector holds %d reports, worker completed %d points", local.Len(), rep.Points)
 	}
-	// Nothing was pushed: the caller owns the collector.
+	// Nothing was sent: the caller owns the collector.
 	if coord.Len() != 0 {
 		t.Fatalf("coordinator received %d reports from a caller-owned collector", coord.Len())
 	}
 }
 
 // TestSimReportEndpointsDisabled pins the off-by-default contract:
-// without a collector both telemetry endpoints 404 and the handshake
-// does not ask workers to collect.
+// without a collector GET /v1/simstatsz 404s, the handshake does not
+// ask workers to collect, and telemetry riding a Complete is dropped
+// while the Complete still resolves its lease.
 func TestSimReportEndpointsDisabled(t *testing.T) {
-	_, hs, _ := testServer(t, testPoints(), nil)
+	srv, hs, _ := testServer(t, testPoints(), nil)
 	resp, err := http.Get(hs.URL + "/v1/simstatsz")
 	if err != nil {
 		t.Fatal(err)
@@ -162,17 +172,36 @@ func TestSimReportEndpointsDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /v1/simstatsz without reporting = %s, want 404", resp.Status)
 	}
-	resp, err = http.Post(hs.URL+"/v1/simreport", "application/json", nil)
+	client, err := NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := client.Lease(context.Background(), "w", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(completeRequest{
+		Lease:   lr.Lease,
+		Indexes: []int{lr.Points[0].Index},
+		Spans:   []tracing.Span{{TraceID: "t", SpanID: "s", Name: "worker.batch"}},
+		Reports: []simreport.Report{{Key: "k", Bench: "FT"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(hs.URL+"/v1/complete", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /v1/simreport without reporting = %s, want 404", resp.Status)
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("telemetry-carrying Complete without reporting = %s, want 204", resp.Status)
 	}
-	client, err := NewClient(hs.URL)
-	if err != nil {
-		t.Fatal(err)
+	if st := srv.Stats().Dispatch; st.Leases != 0 || st.CompletedLeases != 1 {
+		t.Fatalf("dispatch after Complete = %+v, want the lease resolved as completed", st)
+	}
+	if n := srv.reports.Len() + srv.tracer.Len(); n != 0 {
+		t.Fatalf("coordinator without telemetry sinks ingested %d items", n)
 	}
 	info, err := client.Campaign(context.Background())
 	if err != nil {

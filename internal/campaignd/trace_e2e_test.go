@@ -22,13 +22,15 @@ import (
 // well-formed Chrome trace-event JSON. The workers get no tracer of
 // their own: tracing auto-enables from the lease grant's
 // X-Trace-Context header, exactly as the distributed smoke test runs
-// it.
+// it — and their spans reach the coordinator only inside the one
+// Complete each executed lease sends.
 func TestTracePropagationE2E(t *testing.T) {
 	tr := tracing.New(tracing.Config{Process: "coordinator"})
 	pts := testPoints()
-	srv, hs, _ := testServer(t, pts, func(cfg *ServerConfig) {
+	calls := newCallLog()
+	srv, hs := wrapCoordinator(t, pts, func(cfg *ServerConfig) {
 		cfg.Tracer = tr
-	})
+	}, calls.wrap)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -44,14 +46,16 @@ func TestTracePropagationE2E(t *testing.T) {
 			results <- result{rep, err}
 		}(id)
 	}
-	var totalPoints int
+	var totalPoints, leases int
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil {
 			t.Fatalf("worker: %v", r.err)
 		}
 		totalPoints += r.rep.Points
+		leases += r.rep.Leases
 	}
+	calls.checkWorkerCalls(t, leases)
 	if totalPoints != len(pts) {
 		t.Fatalf("workers completed %d points, want %d", totalPoints, len(pts))
 	}
@@ -180,8 +184,7 @@ func TestTracePropagationE2E(t *testing.T) {
 }
 
 // TestTraceEndpointsDisabled pins the off-by-default contract: without
-// a tracer both /v1/trace verbs 404 and lease grants carry no trace
-// header.
+// a tracer GET /v1/trace 404s and lease grants carry no trace header.
 func TestTraceEndpointsDisabled(t *testing.T) {
 	_, hs, _ := testServer(t, testPoints(), nil)
 	resp, err := http.Get(hs.URL + "/v1/trace")

@@ -32,14 +32,9 @@ type Worker struct {
 	Parallelism int
 	// Max bounds points per lease (0 = the coordinator's batch size).
 	Max int
-	// Logger receives structured progress records (lease grants,
-	// forfeits, heartbeat trouble) with consistent worker/lease fields.
-	// Nil falls back to a default text handler over Log; with both nil
-	// the worker is silent.
-	Logger *slog.Logger
-	// Log is the legacy progress sink: when Logger is nil, a text-
-	// handler slog.Logger is built over it. Nil means silent (unless
-	// Logger is set).
+	// Log receives structured progress records (lease grants,
+	// forfeits, heartbeat trouble) with consistent worker/lease fields,
+	// through a text slog handler. Nil means silent.
 	Log io.Writer
 	// Metrics receives the worker's lease-plane counters (worker_*) and
 	// is attached to the worker's Runner, so its cache and simulation
@@ -50,21 +45,21 @@ type Worker struct {
 	// Tracer records the worker's spans (batch, per-point, store I/O).
 	// Nil auto-enables tracing the first time a lease grant carries a
 	// trace context (i.e. the coordinator traces), and the spans are
-	// pushed to the coordinator's POST /v1/trace after each batch for
-	// the merged timeline — distributed tracing needs no worker-side
-	// flag. An explicitly supplied tracer instead belongs to the caller
-	// (the drivers' -trace flag writes it to a local file): its spans
-	// stay buffered here, still sharing the coordinator's trace ID via
-	// the grant's trace context, so local timelines remain mergeable.
+	// sent to the coordinator with batch completion for the merged
+	// timeline — distributed tracing needs no worker-side flag. An
+	// explicitly supplied tracer instead belongs to the caller (the
+	// drivers' -trace flag writes it to a local file): its spans stay
+	// buffered here, still sharing the coordinator's trace ID via the
+	// grant's trace context, so local timelines remain mergeable.
 	Tracer *tracing.Tracer
 	// Reports collects per-point simulation telemetry. Nil auto-enables
 	// collection when the campaign handshake asks for it (the
-	// coordinator was started with -report), and the reports are pushed
-	// to the coordinator's POST /v1/simreport after each batch —
-	// campaign-wide telemetry needs no worker-side flag. An explicitly
-	// supplied collector instead belongs to the caller (the drivers'
-	// -report flag writes it to a local file): its reports stay here
-	// and are never drained.
+	// coordinator was started with -report), and the reports are sent
+	// to the coordinator with batch completion — campaign-wide
+	// telemetry needs no worker-side flag. An explicitly supplied
+	// collector instead belongs to the caller (the drivers' -report
+	// flag writes it to a local file): its reports stay here and are
+	// never drained.
 	Reports *simreport.Collector
 
 	// backendRegistered overrides the backend-availability check in
@@ -141,13 +136,9 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w.id = id
-	switch {
-	case w.Logger != nil:
-		w.log = w.Logger
-	case w.Log != nil:
+	w.log = slog.New(slog.DiscardHandler)
+	if w.Log != nil {
 		w.log = slog.New(slog.NewTextHandler(w.Log, nil))
-	default:
-		w.log = slog.New(slog.DiscardHandler)
 	}
 	w.tr = w.Tracer
 
@@ -169,7 +160,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 	runner.SetMetrics(reg)
 	runner.SetTracer(w.tr)
 	// A handshake asking for telemetry auto-enables collection (the
-	// reports are pushed after each batch); a caller-supplied collector
+	// reports ride each batch's Complete); a caller-supplied collector
 	// is attached regardless and stays local.
 	w.col = w.Reports
 	if w.col == nil && info.Reports {
@@ -185,12 +176,26 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 		rep.Store = store.Stats()
 	}()
 
+	// abandoned names the last batch when it was given up because its
+	// lease was lost: that batch sent no Complete, so its telemetry is
+	// still buffered for the next one.
+	var abandoned string
 	for {
 		lr, err := w.lease(ctx, client, id)
 		if err != nil {
 			return rep, err
 		}
 		if lr.Done {
+			// Telemetry is still buffered only right after an abandoned
+			// batch. Deliver it in one final Complete naming that lease
+			// and no points: the Lease call that answered Done has
+			// already swept the lease, so the coordinator books nothing.
+			if abandoned != "" && w.buffered() {
+				if err := w.complete(ctx, client, abandoned, nil); err != nil {
+					w.log.Debug("worker: final telemetry Complete failed",
+						"worker", id, "lease", abandoned, "error", err)
+				}
+			}
 			return rep, nil
 		}
 		if len(lr.Points) == 0 {
@@ -217,7 +222,7 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 			w.log.Warn("worker: forfeiting lease — backend not registered in this worker",
 				"worker", id, "lease", lr.Lease, "backend", missing)
 			if err := w.giveBack(ctx, m, "forfeit", lr.Lease, func(ctx context.Context) error {
-				return client.Complete(ctx, lr.Lease, nil)
+				return w.complete(ctx, client, lr.Lease, nil)
 			}); err != nil {
 				return rep, err
 			}
@@ -271,7 +276,9 @@ func (w *Worker) Run(ctx context.Context) (rep WorkerReport, err error) {
 		if err != nil {
 			return rep, err
 		}
+		abandoned = ""
 		if lost {
+			abandoned = lr.Lease
 			rep.LostLeases++
 			m.lostLeases.Inc()
 			w.log.Warn("worker: lease expired under us; re-leasing", "worker", id, "lease", lr.Lease)
@@ -415,17 +422,17 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 	writesBefore := store.Stats().Writes
 	_, err := runner.Plan(points...).RunAll(runCtx)
 	batchSpan.End()
-	w.pushSpans(ctx, client)
-	w.pushReports(ctx, client)
 	cancel()
 	<-hbStopped
 
 	if err != nil {
 		select {
 		case <-leaseLost:
-			// Abandoned, not failed. The writes delta is exactly this
-			// batch's published (hence completed) points: the runner is
-			// ours alone and idle between batches.
+			// Abandoned, not failed. No Complete: the lease is lost, and
+			// this batch's telemetry stays buffered for the next one.
+			// The writes delta is exactly this batch's published (hence
+			// completed) points: the runner is ours alone and idle
+			// between batches.
 			return int(store.Stats().Writes - writesBefore), true, nil
 		default:
 		}
@@ -438,54 +445,40 @@ func (w *Worker) runBatch(ctx context.Context, client *Client, runner *experimen
 	// Every result is already durably published (RunAll's write-back is
 	// synchronous), so a failed Complete only delays lease release: the
 	// store-plane writes have marked the points done regardless.
-	if err := client.Complete(ctx, lr.Lease, indexes); err != nil && !errors.Is(err, ErrLeaseGone) {
+	if err := w.complete(ctx, client, lr.Lease, indexes); err != nil && !errors.Is(err, ErrLeaseGone) {
 		w.log.Warn("worker: complete failed (results are already published)",
 			"worker", w.id, "lease", lr.Lease, "error", err)
 	}
 	return len(points), false, nil
 }
 
-// pushSpans drains the worker's finished spans to the coordinator's
-// trace buffer. Failures are advisory — a campaign must never fail
-// over lost telemetry — and the spans are re-buffered so a later push
-// (or a driver-side -trace export) can still deliver them. A tracer
-// the caller supplied explicitly is never drained: its spans are the
-// caller's to export (see the Tracer field).
-func (w *Worker) pushSpans(ctx context.Context, client *Client) {
-	if w.tr == nil || w.Tracer != nil {
-		return
+// complete sends one Complete for lease, carrying the telemetry this
+// worker buffers for the coordinator: the spans and reports of the
+// tracer and collector it auto-enabled. Caller-owned ones are never
+// drained (see the Tracer and Reports fields). Telemetry is advisory —
+// a campaign must never fail over it — so a failed call re-buffers it
+// for the next Complete; the coordinator's collector dedups reports by
+// point key, so a partially delivered batch cannot double-count.
+func (w *Worker) complete(ctx context.Context, client *Client, lease string, indexes []int) error {
+	var spans []tracing.Span
+	var reports []simreport.Report
+	if w.Tracer == nil {
+		spans = w.tr.Drain()
 	}
-	spans := w.tr.Drain()
-	if len(spans) == 0 {
-		return
+	if w.Reports == nil {
+		reports = w.col.Drain()
 	}
-	if err := client.PushTrace(ctx, spans); err != nil {
-		w.log.Debug("worker: trace push failed; keeping spans buffered",
-			"worker", w.id, "spans", len(spans), "error", err)
+	err := client.Complete(ctx, lease, indexes, spans, reports)
+	if err != nil {
 		w.tr.Ingest(spans)
-	}
-}
-
-// pushReports drains the worker's collected simulation reports to the
-// coordinator. Failures are advisory — a campaign must never fail over
-// lost telemetry — and the reports are re-buffered for the next push
-// (the coordinator's collector dedups by point key, so a partially
-// delivered batch cannot double-count). A collector the caller
-// supplied explicitly is never drained: its reports are the caller's
-// to export (see the Reports field).
-func (w *Worker) pushReports(ctx context.Context, client *Client) {
-	if w.col == nil || w.Reports != nil {
-		return
-	}
-	reports := w.col.Drain()
-	if len(reports) == 0 {
-		return
-	}
-	if err := client.PushReports(ctx, reports); err != nil {
-		w.log.Debug("worker: report push failed; keeping reports buffered",
-			"worker", w.id, "reports", len(reports), "error", err)
 		w.col.Ingest(reports)
 	}
+	return err
+}
+
+// buffered reports whether telemetry awaits the next Complete.
+func (w *Worker) buffered() bool {
+	return w.Tracer == nil && w.tr.Len() > 0 || w.Reports == nil && w.col.Len() > 0
 }
 
 // handshakeBudget bounds the total time handshake spends retrying —

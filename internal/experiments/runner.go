@@ -460,10 +460,11 @@ var simRateBuckets = []float64{
 	1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9,
 }
 
-// observeExecution books one executed simulation, its wall-clock and
-// its simulation rate.
-func (r *Runner) observeExecution(backend string, elapsed time.Duration, cycles uint64) {
+// observeExecution books one executed simulation, its wall-clock
+// seconds and its simulation rate (unmeasured when secs is zero).
+func (r *Runner) observeExecution(backend string, secs, rate float64) {
 	r.mu.Lock()
+	r.simsBy[backend]++
 	reg := r.metrics
 	r.mu.Unlock()
 	if reg == nil {
@@ -472,10 +473,10 @@ func (r *Runner) observeExecution(backend string, elapsed time.Duration, cycles 
 	reg.Counter("runner_simulations_total", "simulations executed (cache misses in both tiers) by backend",
 		metrics.L("backend", backend)).Inc()
 	reg.Histogram("runner_point_duration_seconds", "wall-clock seconds per executed design point",
-		metrics.DurationBuckets, metrics.L("backend", backend)).Observe(elapsed.Seconds())
-	if secs := elapsed.Seconds(); secs > 0 {
+		metrics.DurationBuckets, metrics.L("backend", backend)).Observe(secs)
+	if secs > 0 {
 		reg.Histogram("runner_sim_cycles_per_second", "simulated cycles per wall-clock second, by backend",
-			simRateBuckets, metrics.L("backend", backend)).Observe(float64(cycles) / secs)
+			simRateBuckets, metrics.L("backend", backend)).Observe(rate)
 	}
 }
 
@@ -684,31 +685,41 @@ func (r *Runner) executeOrLoad(ctx context.Context, tr *tracing.Tracer, st Resul
 	if rep != nil {
 		allocBefore = totalAllocBytes()
 	}
-	ectx, exec := tr.Start(ctx, "backend.execute", tracing.A("backend", backend))
-	start := time.Now()
-	res, err := r.execute(ectx, backend, bench, cfg, prewarm)
-	wall := time.Since(start)
-	if err == nil && exec != nil {
-		exec.SetAttr("cycles", fmt.Sprint(res.Cycles))
-		exec.SetAttr("instructions", fmt.Sprint(res.TotalInstructions()))
-		if secs := wall.Seconds(); secs > 0 {
-			exec.SetAttr("cycles_per_second", fmt.Sprintf("%.0f", float64(res.Cycles)/secs))
-		}
-	}
-	exec.End()
+	b, err := r.backend(backend)
 	if err != nil {
 		return nil, err
 	}
+	ectx, exec := tr.Start(ctx, "backend.execute", tracing.A("backend", backend))
+	start := time.Now()
+	res, err := b.Execute(ectx, bench, cfg, prewarm)
+	secs := time.Since(start).Seconds()
+	if err != nil {
+		exec.End()
+		return nil, err
+	}
+	// One clock books the execution everywhere: the metrics, the span
+	// and the report all read this wall time and rate.
+	var rate float64
+	if secs > 0 {
+		rate = float64(res.Cycles) / secs
+	}
+	r.observeExecution(backend, secs, rate)
+	if exec != nil {
+		exec.SetAttr("cycles", fmt.Sprint(res.Cycles))
+		exec.SetAttr("instructions", fmt.Sprint(res.TotalInstructions()))
+		if secs > 0 {
+			exec.SetAttr("cycles_per_second", fmt.Sprintf("%.0f", rate))
+		}
+	}
+	exec.End()
 	var report simreport.Report
 	if rep != nil {
 		report = simreport.FromResult(r.storeKey(backend, bench, cfg, prewarm).Hex(),
 			bench, backend, prewarm, res)
 		report.Host = simreport.HostCost{
-			WallSeconds: wall.Seconds(),
-			AllocBytes:  totalAllocBytes() - allocBefore,
-		}
-		if secs := wall.Seconds(); secs > 0 {
-			report.Host.SimCyclesPerSecond = float64(res.Cycles) / secs
+			WallSeconds:        secs,
+			AllocBytes:         totalAllocBytes() - allocBefore,
+			SimCyclesPerSecond: rate,
 		}
 		rep.Add(report)
 	}
@@ -771,25 +782,6 @@ func totalAllocBytes() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.TotalAlloc
-}
-
-// execute dispatches one design point (always a cache miss) to its
-// backend and books the execution in the per-backend counters.
-func (r *Runner) execute(ctx context.Context, backend, bench string, cfg core.Config, prewarm bool) (*core.Result, error) {
-	b, err := r.backend(backend)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := b.Execute(ctx, bench, cfg, prewarm)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.simsBy[backend]++
-	r.mu.Unlock()
-	r.observeExecution(backend, time.Since(start), res.Cycles)
-	return res, nil
 }
 
 // CachedRuns reports how many distinct simulations have completed

@@ -96,7 +96,7 @@ type series struct {
 	labels []Label
 	key    string
 
-	fn   func() float64
+	fn   atomic.Pointer[func() float64]
 	bits atomic.Uint64 // float64 bits
 
 	counts  []atomic.Int64 // histogram: one per bucket + one for +Inf
@@ -105,8 +105,8 @@ type series struct {
 }
 
 func (s *series) value() float64 {
-	if s.fn != nil {
-		return s.fn()
+	if fn := s.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(s.bits.Load())
 }
@@ -193,8 +193,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // without maintaining a second copy. Re-registering the same (name,
 // labels) replaces the callback (the newest component instance wins).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.instrument(name, help, KindCounter, nil, labels)
-	s.fn = fn
+	r.instrument(name, help, KindCounter, nil, labels).fn.Store(&fn)
 }
 
 // Gauge returns (creating if needed) the gauge for (name, labels).
@@ -206,8 +205,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // GaugeFunc registers a func-backed gauge sampled at scrape time.
 // Re-registering the same (name, labels) replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.instrument(name, help, KindGauge, nil, labels)
-	s.fn = fn
+	r.instrument(name, help, KindGauge, nil, labels).fn.Store(&fn)
 }
 
 // Histogram returns (creating if needed) the histogram for (name,

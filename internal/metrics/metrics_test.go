@@ -268,6 +268,41 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestFuncReregisterWhileScraping pins that swapping a func-backed
+// series' callback is safe against a concurrent scrape: two Runners
+// sharing one registry re-register their memo counters while the
+// coordinator serves /metrics. Run under -race.
+func TestFuncReregisterWhileScraping(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("memo_hits_total", "", func() float64 { return 0 })
+	r.GaugeFunc("depth", "", func() float64 { return 0 })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 1000; i++ {
+			v := float64(i)
+			r.CounterFunc("memo_hits_total", "", func() float64 { return v })
+			r.GaugeFunc("depth", "", func() float64 { return v })
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		var sink strings.Builder
+		_ = r.WritePrometheus(&sink)
+		r.Snapshot()
+	}
+	if v, _ := r.Value("memo_hits_total"); v != 1000 {
+		t.Fatalf("func counter = %v, want the last registered callback's 1000", v)
+	}
+	if v, _ := r.Value("depth"); v != 1000 {
+		t.Fatalf("func gauge = %v, want the last registered callback's 1000", v)
+	}
+}
+
 func TestSnapshotOrdering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "")

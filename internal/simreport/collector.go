@@ -51,8 +51,8 @@ func (c *Collector) Add(r Report) {
 	c.reports = append(c.reports, r)
 }
 
-// Ingest folds a batch of reports (a worker's push, or a re-buffered
-// failed push) into the collection.
+// Ingest folds a batch of reports (a worker's batch completion, or a
+// re-buffered failed one) into the collection.
 func (c *Collector) Ingest(reports []Report) {
 	for _, r := range reports {
 		c.Add(r)
